@@ -3,10 +3,12 @@
 // The paper's Clarens provided "a common set of services for authentication
 // [and] access control". Here: users register with a shared secret, login
 // mints a session token with an expiry, and services resolve tokens back to
-// user names on each call.
+// user names on each call. Registration, login, logout, authentication and
+// session counts are safe to call from concurrent RPC workers.
 #pragma once
 
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "clarens/credentials.h"
@@ -56,6 +58,8 @@ class AuthService {
   const Clock& clock_;
   AuthOptions options_;
   const CertificateAuthority* ca_ = nullptr;
+  /// Guards secrets_ and sessions_; held only for the map lookup and update.
+  mutable std::mutex mu_;
   std::map<std::string, std::string> secrets_;  // user -> secret
   mutable std::map<std::string, Session> sessions_;
 };

@@ -1,6 +1,7 @@
 #include "estimators/queue_time_estimator.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace gae::estimators {
 
@@ -20,41 +21,38 @@ Result<QueueTimeEstimate> QueueTimeEstimator::estimate(const std::string& task_i
   // A task that already left the queue waits no further.
   if (info.state != exec::TaskState::kQueued) return out;
 
-  for (const exec::TaskInfo& other : service_.list_tasks()) {
-    if (other.spec.id == task_id || exec::is_terminal(other.state)) continue;
-    if (other.state == exec::TaskState::kSuspended) continue;  // holds no node, waits idle
+  const std::vector<int> positions = service_.queue_positions();
+  std::size_t index = 0;
+  std::size_t occupied = 0;  // running/staging tasks, for the pool size
+  service_.for_each_task([&](const exec::TaskInfo& other, double cpu_seconds) {
+    const int other_position = positions[index++];
+    const bool occupies_node = other.state == exec::TaskState::kRunning ||
+                               other.state == exec::TaskState::kStaging;
+    if (occupies_node) ++occupied;
+    if (other.spec.id == task_id || exec::is_terminal(other.state)) return;
+    if (other.state == exec::TaskState::kSuspended) return;  // holds no node, waits idle
 
     bool counts = other.spec.priority > info.spec.priority;
     if (!counts && options_.include_equal_priority_ahead &&
         other.spec.priority == info.spec.priority &&
         other.state == exec::TaskState::kQueued) {
-      counts = other.queue_position >= 0 && info.queue_position >= 0 &&
-               other.queue_position < info.queue_position;
+      counts = other_position >= 0 && info.queue_position >= 0 &&
+               other_position < info.queue_position;
     }
     // Running/staging tasks occupy nodes regardless of priority relation:
     // the paper's step (b) pulls elapsed runtimes "from the queue", which in
     // Condor terms includes the running jobs.
-    if (!counts && (other.state == exec::TaskState::kRunning ||
-                    other.state == exec::TaskState::kStaging)) {
-      counts = true;
-    }
-    if (!counts) continue;
+    if (!counts && occupies_node) counts = true;
+    if (!counts) return;
 
     const double estimated =
         estimates_->get(other.spec.id).value_or(options_.fallback_estimate_seconds);
-    const double remaining = std::max(0.0, estimated - other.cpu_seconds_used);
-    out.seconds += remaining;
+    out.seconds += std::max(0.0, estimated - cpu_seconds);
     ++out.tasks_ahead;
-  }
+  });
 
   if (options_.divide_by_nodes) {
     // Pool size = occupied nodes + free nodes (not exposed directly).
-    std::size_t occupied = 0;
-    for (const exec::TaskInfo& t : service_.list_tasks()) {
-      if (t.state == exec::TaskState::kRunning || t.state == exec::TaskState::kStaging) {
-        ++occupied;
-      }
-    }
     const std::size_t pool = std::max<std::size_t>(1, occupied + service_.free_nodes());
     out.seconds /= static_cast<double>(pool);
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/log.h"
 
@@ -11,6 +13,15 @@ namespace {
 /// Residual work below this many CPU-seconds counts as done (guards against
 /// microsecond rounding creating zero-length segments).
 constexpr double kWorkEpsilon = 1e-9;
+
+/// Copy of `info` with its CPU, progress and queue position made current.
+TaskInfo snapshot(const TaskInfo& info, double cpu_seconds, int queue_position) {
+  TaskInfo out = info;
+  out.cpu_seconds_used = cpu_seconds;
+  out.progress = std::min(1.0, cpu_seconds / info.spec.work_seconds);
+  out.queue_position = queue_position;
+  return out;
+}
 }  // namespace
 
 ExecutionService::ExecutionService(sim::Simulation& sim, sim::Grid& grid,
@@ -157,25 +168,34 @@ Result<TaskInfo> ExecutionService::query(const std::string& task_id) const {
   if (!up_) return unavailable_error("execution service at " + site_ + " is down");
   const TaskRec* rec = find(task_id);
   if (!rec) return not_found_error("no such task: " + task_id);
-  TaskInfo info = rec->info;
-  info.cpu_seconds_used = current_cpu_seconds(*rec);
-  info.progress = std::min(1.0, info.cpu_seconds_used / info.spec.work_seconds);
-  info.queue_position = -1;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (queue_[i] == task_id) {
-      info.queue_position = static_cast<int>(i);
-      break;
-    }
-  }
-  return info;
+  const auto pos = std::find(queue_.begin(), queue_.end(), task_id);
+  return snapshot(rec->info, current_cpu_seconds(*rec),
+                  pos == queue_.end() ? -1 : static_cast<int>(pos - queue_.begin()));
 }
 
 std::vector<TaskInfo> ExecutionService::list_tasks() const {
+  const std::vector<int> positions = queue_positions();
   std::vector<TaskInfo> out;
+  out.reserve(positions.size());
+  for_each_task([&](const TaskInfo& info, double cpu) {
+    out.push_back(snapshot(info, cpu, positions[out.size()]));
+  });
+  return out;
+}
+
+std::vector<int> ExecutionService::queue_positions() const {
+  if (!up_) return {};
+  // First position of each waiting id, as query()'s front-to-back scan finds.
+  std::unordered_map<std::string_view, int> waiting;
+  waiting.reserve(queue_.size());
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    waiting.emplace(queue_[i], static_cast<int>(i));
+  }
+  std::vector<int> out;
   out.reserve(tasks_.size());
   for (const auto& [id, rec] : tasks_) {
-    auto q = query(id);
-    if (q.is_ok()) out.push_back(std::move(q).value());
+    const auto it = waiting.find(id);
+    out.push_back(it == waiting.end() ? -1 : it->second);
   }
   return out;
 }

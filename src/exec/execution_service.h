@@ -94,8 +94,24 @@ class ExecutionService {
   /// Point-in-time task view with up-to-date CPU accounting.
   Result<TaskInfo> query(const std::string& task_id) const;
 
-  /// All tasks ever submitted here (terminal ones included).
+  /// All tasks ever submitted here (terminal ones included), in id order:
+  /// query()'s view of each, built in one for_each_task() visit.
   std::vector<TaskInfo> list_tasks() const;
+
+  /// Visits every task in id order without copying it: `fn(info, cpu)` gets
+  /// the live record and the task's CPU seconds as of now. Of `info`, the
+  /// fields cpu_seconds_used, progress and queue_position are not current;
+  /// read `cpu` and queue_positions() instead. Visits nothing while the
+  /// service is down. `fn` must not change this service.
+  template <typename Fn>
+  void for_each_task(Fn&& fn) const {
+    if (!up_) return;
+    for (const auto& [id, rec] : tasks_) fn(rec.info, current_cpu_seconds(rec));
+  }
+
+  /// Queue position of each task in for_each_task() order (-1 when not
+  /// waiting), from one pass over the queue; empty while the service is down.
+  std::vector<int> queue_positions() const;
 
   /// Waiting tasks in dispatch order (queue_position filled in).
   std::vector<TaskInfo> queued_tasks() const;

@@ -62,8 +62,9 @@ struct HistogramSnapshot {
 };
 
 /// Fixed log2-bucket histogram for non-negative integer samples (latency in
-/// microseconds, sizes in bytes). Recording is lock-free: one atomic add per
-/// bucket plus count/sum, and CAS loops for min/max.
+/// microseconds, sizes in bytes). Recording is lock-free: one atomic add to
+/// the bucket and to the sum, and CAS loops for min/max. The count is not
+/// stored; a snapshot derives it from the buckets it read.
 class Histogram {
  public:
   static constexpr int kBuckets = HistogramSnapshot::kBuckets;
@@ -81,7 +82,6 @@ class Histogram {
 
  private:
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> min_{UINT64_MAX};
   std::atomic<std::uint64_t> max_{0};

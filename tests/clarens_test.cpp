@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "clarens/host.h"
 #include "common/clock.h"
 #include "rpc/client.h"
@@ -59,6 +64,42 @@ TEST(AuthService, LogoutInvalidates) {
   EXPECT_FALSE(auth.authenticate(token).is_ok());
   EXPECT_EQ(auth.logout(token).code(), StatusCode::kNotFound);
   EXPECT_EQ(auth.active_sessions(), 0u);
+}
+
+TEST(AuthService, ConcurrentLoginAuthenticateLogout) {
+  // RPC workers log in, authenticate and log out at once, and all of them
+  // re-stamp one shared session's expiry.
+  ManualClock clock;
+  AuthService auth(clock);
+  for (int t = 0; t < 4; ++t) {
+    ASSERT_TRUE(auth.register_user("user" + std::to_string(t), "pw").is_ok());
+  }
+  ASSERT_TRUE(auth.register_user("shared", "pw").is_ok());
+  const std::string shared = auth.login("shared", "pw").value();
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      const std::string user = "user" + std::to_string(t);
+      for (int i = 0; i < 2'000; ++i) {
+        auto token = auth.login(user, "pw");
+        if (!token.is_ok()) {
+          ++failures;
+          continue;
+        }
+        auto who = auth.authenticate(token.value());
+        if (!who.is_ok() || who.value() != user) ++failures;
+        auto shared_who = auth.authenticate(shared);
+        if (!shared_who.is_ok() || shared_who.value() != "shared") ++failures;
+        if (auth.active_sessions() < 1) ++failures;
+        if (!auth.logout(token.value()).is_ok()) ++failures;
+        if (auth.authenticate(token.value()).is_ok()) ++failures;
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(auth.active_sessions(), 1u);
 }
 
 TEST(AccessControl, DefaultDenyExceptSystem) {

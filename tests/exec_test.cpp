@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "sim/load.h"
@@ -416,6 +418,66 @@ TEST_F(ExecTest, ListTasksIncludesTerminal) {
   ASSERT_TRUE(exec.submit(make_spec("t2", 1.0)).is_ok());
   sim_.run();
   EXPECT_EQ(exec.list_tasks().size(), 2u);
+}
+
+TEST_F(ExecTest, VisitorYieldsQueryViewInIdOrderAndNothingWhileDown) {
+  sim::Grid grid;
+  auto& site = grid.add_site("s");
+  site.add_node("n0", 1.0, nullptr);
+  site.add_node("n1", 0.5, nullptr);
+  ExecutionService exec(sim_, grid, "s");
+  // Submitted out of id order, across priorities: two run, the rest wait,
+  // one is killed, one suspended, one completes.
+  ASSERT_TRUE(exec.submit(make_spec("t5", 500.0)).is_ok());
+  ASSERT_TRUE(exec.submit(make_spec("t1", 2.0)).is_ok());
+  ASSERT_TRUE(exec.submit(make_spec("t4", 300.0, 1)).is_ok());
+  ASSERT_TRUE(exec.submit(make_spec("t2", 100.0, 2)).is_ok());
+  ASSERT_TRUE(exec.submit(make_spec("t3", 100.0)).is_ok());
+  ASSERT_TRUE(exec.submit(make_spec("t0", 100.0, 2)).is_ok());
+  ASSERT_TRUE(exec.submit(make_spec("t6", 100.0)).is_ok());
+  sim_.run_until(from_seconds(7.25));
+  ASSERT_TRUE(exec.kill("t3").is_ok());
+  ASSERT_TRUE(exec.suspend("t6").is_ok());
+  sim_.run_until(from_seconds(13.5));
+
+  std::vector<std::string> ids;
+  exec.for_each_task([&](const TaskInfo& info, double cpu) {
+    ids.push_back(info.spec.id);
+    const TaskInfo q = exec.query(info.spec.id).value();
+    EXPECT_EQ(info.state, q.state) << info.spec.id;
+    EXPECT_EQ(cpu, q.cpu_seconds_used) << info.spec.id;
+  });
+  EXPECT_EQ(ids, (std::vector<std::string>{"t0", "t1", "t2", "t3", "t4", "t5", "t6"}));
+
+  // list_tasks() is query() of every task, queue position included.
+  const std::vector<TaskInfo> listed = exec.list_tasks();
+  ASSERT_EQ(listed.size(), ids.size());
+  std::set<TaskState> states;
+  int waiting = 0;
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    const TaskInfo q = exec.query(ids[i]).value();
+    EXPECT_EQ(listed[i].spec.id, ids[i]);
+    EXPECT_EQ(listed[i].state, q.state);
+    EXPECT_EQ(listed[i].cpu_seconds_used, q.cpu_seconds_used);
+    EXPECT_EQ(listed[i].progress, q.progress);
+    EXPECT_EQ(listed[i].queue_position, q.queue_position);
+    EXPECT_EQ(listed[i].node, q.node);
+    EXPECT_EQ(listed[i].start_time, q.start_time);
+    EXPECT_EQ(listed[i].completion_time, q.completion_time);
+    states.insert(q.state);
+    if (q.queue_position >= 0) ++waiting;
+  }
+  EXPECT_EQ(states, (std::set<TaskState>{TaskState::kQueued, TaskState::kRunning,
+                                         TaskState::kSuspended, TaskState::kCompleted,
+                                         TaskState::kKilled}));
+  EXPECT_EQ(waiting, 2);
+
+  exec.fail_service();
+  int visited = 0;
+  exec.for_each_task([&](const TaskInfo&, double) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  EXPECT_TRUE(exec.list_tasks().empty());
+  EXPECT_TRUE(exec.queue_positions().empty());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // acts when it should) rather than exact timings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "estimators/recorder.h"
@@ -127,7 +128,24 @@ TEST(GridDay, FullEnsembleSurvivesADay) {
   }
 
   sim.run_until(from_seconds(2 * kDay));
-  sim.run(5'000'000);  // drain any stragglers
+  // Drain stragglers until every job has completed or been cancelled (a
+  // failed job may still be recovered by steering). The samplers re-arm
+  // forever, so the event queue never empties by itself; a later fixed
+  // horizon bounds the drain.
+  const auto all_done = [&] {
+    for (const auto& job_id : job_ids) {
+      auto status = scheduler.job_status(job_id);
+      if (status.is_ok() && (status.value().state == sphinx::JobState::kRunning ||
+                             status.value().state == sphinx::JobState::kFailed)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const SimTime horizon = from_seconds(4 * kDay);
+  while (!all_done() && sim.now() < horizon) {
+    sim.run_until(std::min(horizon, sim.now() + from_seconds(600)));
+  }
 
   // --- Invariants.
   std::size_t total_tasks = 0, completed = 0;

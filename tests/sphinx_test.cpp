@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "common/rng.h"
 #include "estimators/recorder.h"
 #include "sim/load.h"
 
@@ -341,6 +346,129 @@ TEST_F(SphinxTest, FallbackRuntimeWhenNoHistory) {
   auto ranked = fresh.rank_sites(spec("t", 10));
   ASSERT_TRUE(ranked.is_ok());
   EXPECT_DOUBLE_EQ(ranked.value()[0].est_runtime_seconds, 777.0);
+}
+
+// The backlog as computed before the copy-free visitor: a full list_tasks()
+// copy of the site's table.
+double backlog_from_list(const exec::ExecutionService& exec,
+                         const estimators::EstimateDatabase& db, int priority,
+                         std::size_t nodes, double fallback) {
+  double backlog = 0.0;
+  for (const exec::TaskInfo& t : exec.list_tasks()) {
+    if (exec::is_terminal(t.state) || t.state == exec::TaskState::kSuspended) continue;
+    const bool occupies_node =
+        t.state == exec::TaskState::kRunning || t.state == exec::TaskState::kStaging;
+    if (!occupies_node && t.spec.priority < priority) continue;
+    backlog += std::max(0.0, db.get(t.spec.id).value_or(fallback) - t.cpu_seconds_used);
+  }
+  return backlog / static_cast<double>(std::max<std::size_t>(1, nodes));
+}
+
+TEST(SphinxBacklog, PlansOnDeepBacklogMatchListTasksComputation) {
+  sim::Simulation sim;
+  sim::Grid grid;
+  const std::vector<std::pair<std::string, std::vector<double>>> layout = {
+      {"site-a", {1.0, 0.5}}, {"site-b", {1.0, 1.0, 0.75}}, {"site-c", {2.0}}};
+  const std::vector<std::string> executables = {"primes", "sort", "fft"};
+  std::vector<std::unique_ptr<exec::ExecutionService>> execs;
+  auto db = std::make_shared<estimators::EstimateDatabase>();
+  SphinxScheduler scheduler(sim, grid, nullptr, db);
+  Rng rng(20050614);
+  for (const auto& [name, speeds] : layout) {
+    auto& site = grid.add_site(name);
+    for (std::size_t i = 0; i < speeds.size(); ++i) {
+      site.add_node(name + "-n" + std::to_string(i), speeds[i], nullptr);
+    }
+    execs.push_back(std::make_unique<exec::ExecutionService>(sim, grid, name));
+    auto est = std::make_shared<estimators::RuntimeEstimator>(
+        std::make_shared<estimators::TaskHistoryStore>());
+    for (const auto& executable : executables) {
+      auto attributes = spec("h", 1).attributes;
+      attributes["executable"] = executable;
+      for (int i = 0; i < 4; ++i) est->record(attributes, rng.uniform(50.0, 900.0), 0);
+    }
+    scheduler.add_site(name, {execs.back().get(), est});
+  }
+  grid.set_default_link({100e6, 0});
+  const SchedulerOptions defaults;
+
+  double deepest_queue = 0.0;
+  std::set<std::string> used_sites;
+  for (int j = 0; j < 40; ++j) {
+    JobDescription job;
+    job.id = "job-" + std::to_string(j);
+    job.owner = "alice";
+    const auto tasks = rng.uniform_int(1, 4);
+    for (std::int64_t t = 0; t < tasks; ++t) {
+      auto task = spec(job.id + "-t" + std::to_string(t), rng.uniform(100.0, 2000.0),
+                       static_cast<int>(rng.uniform_int(0, 2)));
+      task.attributes["executable"] = rng.pick(executables);
+      job.tasks.push_back({task, {}});
+    }
+
+    // Reference plan: make_plan's selection loop over scores whose queue
+    // term comes from list_tasks().
+    std::vector<SitePlacement> expected;
+    std::map<std::string, double> planned_backlog;
+    for (const auto& t : job.tasks) {
+      std::vector<SiteScore> ranked;
+      for (std::size_t i = 0; i < layout.size(); ++i) {
+        const std::string& name = layout[i].first;
+        SiteScore score;
+        score.site = name;
+        score.est_runtime_seconds =
+            scheduler.score_site(t.spec, name).value().est_runtime_seconds;
+        score.est_queue_seconds =
+            backlog_from_list(*execs[i], *db, t.spec.priority, layout[i].second.size(),
+                              defaults.fallback_runtime_seconds);
+        score.est_transfer_seconds = 0.0;
+        score.total_seconds =
+            score.est_runtime_seconds + score.est_queue_seconds + score.est_transfer_seconds;
+        ranked.push_back(score);
+      }
+      std::sort(ranked.begin(), ranked.end(), [](const SiteScore& a, const SiteScore& b) {
+        if (a.total_seconds != b.total_seconds) return a.total_seconds < b.total_seconds;
+        return a.site < b.site;
+      });
+      const SiteScore* best = nullptr;
+      double best_total = 0;
+      for (const SiteScore& score : ranked) {
+        const double total = score.total_seconds + planned_backlog[score.site];
+        if (!best || total < best_total) {
+          best = &score;
+          best_total = total;
+        }
+      }
+      SitePlacement placement{t.spec.id, best->site, *best};
+      placement.score.est_queue_seconds += planned_backlog[best->site];
+      placement.score.total_seconds = best_total;
+      const auto nodes = grid.site(best->site).node_count();
+      planned_backlog[best->site] += best->est_runtime_seconds / static_cast<double>(nodes);
+      expected.push_back(placement);
+    }
+
+    auto plan = scheduler.submit(job);
+    ASSERT_TRUE(plan.is_ok()) << plan.status();
+    const auto& placements = plan.value().placements;
+    ASSERT_EQ(placements.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      SCOPED_TRACE(expected[i].task_id);
+      EXPECT_EQ(placements[i].task_id, expected[i].task_id);
+      EXPECT_EQ(placements[i].site, expected[i].site);
+      EXPECT_EQ(placements[i].score.site, expected[i].score.site);
+      EXPECT_EQ(placements[i].score.est_runtime_seconds, expected[i].score.est_runtime_seconds);
+      EXPECT_EQ(placements[i].score.est_queue_seconds, expected[i].score.est_queue_seconds);
+      EXPECT_EQ(placements[i].score.est_transfer_seconds,
+                expected[i].score.est_transfer_seconds);
+      EXPECT_EQ(placements[i].score.total_seconds, expected[i].score.total_seconds);
+      deepest_queue = std::max(deepest_queue, expected[i].score.est_queue_seconds);
+      used_sites.insert(expected[i].site);
+    }
+    sim.run_until(sim.now() + from_seconds(rng.uniform(0.0, 60.0)));
+  }
+  // The comparison ran against a backlog hours deep, at every site.
+  EXPECT_GT(deepest_queue, 3600.0);
+  EXPECT_EQ(used_sites.size(), layout.size());
 }
 
 }  // namespace
